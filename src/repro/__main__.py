@@ -250,6 +250,20 @@ def reproduce(argv: list[str]) -> int:
     return 0
 
 
+def _native_line(native: dict) -> str:
+    """One line of :func:`~repro.core.native.native_status` for the bench CLIs."""
+    if native["active"]:
+        return (
+            f"native: backend=c, {native['threads']} thread(s),"
+            f" compiler {native['compiler']!r}, library {native['library']}"
+        )
+    error = native["build_error"] or {}
+    return (
+        f"native: backend={native['backend']}"
+        f" ({error.get('reason')}: {error.get('detail')})"
+    )
+
+
 def _bench_error(exc: ValueError, as_json: bool) -> int:
     """Render a bench ValueError; unknown kernels get a structured form.
 
@@ -374,12 +388,11 @@ def serve_bench(argv: list[str]) -> int:
         f" max_batch={report['max_batch']}, delay budget {report['max_delay_ms']} ms,"
         f" policy={report['policy']}"
     )
-    native = report["native_tier"]
     print(
         f"  tier: kernel={report['kernel']}"
         f" -> plan kernels {', '.join(report['plan_kernels']) or '-'}"
-        f" (native backend: {native['backend']})"
     )
+    print(f"  {_native_line(report['native_tier'])}")
     load = report["load"]
     print(
         f"  {load['requests']} requests / {load['samples']} samples in"
@@ -486,12 +499,11 @@ def fleet_bench(argv: list[str]) -> int:
         f" queue {report['max_queue_samples']} samples, SLA {report['sla_ms']} ms,"
         f" shards={report['shards']}, policy={report['policy']}"
     )
-    native = report["native_tier"]
     print(
         f"  tier: kernel={report['kernel']}"
         f" -> plan kernels {', '.join(report['plan_kernels']) or '-'}"
-        f" (native backend: {native['backend']})"
     )
+    print(f"  {_native_line(report['native_tier'])}")
     print(
         f"  offered {report['offered_requests']} requests @"
         f" {report['offered_rps']} req/s over {report['duration_s']}s"

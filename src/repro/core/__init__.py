@@ -37,7 +37,7 @@ from .kernels import (
     shape_class,
     table_cache_counters,
 )
-from .native import native_active, native_available, native_status
+from .native import native_active, native_status
 from .router import (
     TierCertificate,
     TierDecision,
@@ -101,7 +101,6 @@ __all__ = [
     "shape_class",
     "table_cache_counters",
     "native_active",
-    "native_available",
     "native_status",
     "TierCertificate",
     "TierDecision",

@@ -24,13 +24,15 @@ Six kernels are built in:
     cheap subnormal-flush mask reproduces the datapath's
     flush-to-zero underflow exactly.
 
-``float_table_native`` (bit-exact default when numba is installed)
-    The same one-gather algorithm compiled to a cache-blocked,
-    ``prange``-multithreaded scalar loop nest via numba
-    (:mod:`repro.core.native`).  Byte-identical to ``float_table`` by
-    the shared accumulation association; on boxes without numba (or
-    with ``REPRO_DISABLE_NATIVE=1``) every call silently delegates to
-    ``float_table``, so the tier is always safe to select.
+``float_table_native`` (bit-exact default when a C compiler is installed)
+    The same one-gather algorithm as a small C loop nest
+    (:mod:`repro.core.native`), built once per machine with the system
+    ``cc``, cached on disk and loaded through ``ctypes``; output rows are
+    split across plain pthreads.  Byte-identical to ``float_table``
+    because every output element keeps the kernel contract below.  On
+    boxes without a compiler (or with ``REPRO_DISABLE_NATIVE=1``) every
+    call delegates to ``float_table``, so the tier is always safe to
+    select.
 
 ``uint32_fused``
     The previous default: gather a fused uint32 entry (fraction bits,
@@ -59,6 +61,16 @@ Six kernels are built in:
     The per-element FP pipeline for significand widths too wide to
     tabulate (e.g. float32 operands).
 
+Bit contract of the exact tiers: every output element is a float32 sum
+that runs sequentially over the terms of each pinned K-chunk, with chunk
+partials added in chunk order.  The one place the NumPy reference leaves
+that order is a reduction whose tile has a single element on its inner
+axis: NumPy then sums along a contiguous axis, pairwise.  That happens in
+``float_table``'s standard orientation when ``n == 1``, and in its
+transposed orientation when a column block is one row wide; those are
+exactly the shapes ``float_table_native`` hands back to ``float_table``
+(see :class:`NativeGatherKernel`).
+
 Chunking policy: the K-dimension split (``default_k_chunk``) is pinned
 to the historical ``2^22``-element budget because float32 accumulation
 order — and therefore the bit-exact output contract — depends on where
@@ -86,7 +98,7 @@ from ..formats.packed import PackedTensor
 from . import integrity
 from .config import MultiplierConfig
 from .fp_mul import _normalise, significand_product
-from .native import jit_gather, native_active, native_status
+from .native import gather_gemm, native_active, native_status
 from .tables import table_supported
 
 __all__ = [
@@ -625,27 +637,29 @@ class FloatTableKernel(GemmKernel):
 
 
 class NativeGatherKernel(GemmKernel):
-    """Numba-compiled native tier of the one-gather value-table GEMM.
+    """Native C tier of the one-gather value-table GEMM.
 
-    Runs :func:`repro.core.native.gather_gemm` — the same gather + two
-    scale multiplies + range masks as :class:`FloatTableKernel`, with
-    the identical accumulation association (sequential within a K-chunk,
-    chunk partials in order), compiled to a ``prange``-parallel scalar
-    loop nest.  Byte-identical to ``float_table`` on every input.
+    Runs :func:`repro.core.native.gather_gemm`: the same gather, the same
+    two scale multiplies in the same order and the same range masks as
+    :class:`FloatTableKernel`, with the contract's accumulation (terms of
+    a K-chunk summed sequentially, chunk partials added in order), in
+    compiled C with output rows split across threads.  It reads the
+    value table ``V0`` directly in both of ``float_table``'s
+    orientations, so it never needs the transposed copy.
 
-    Delegation keeps that claim airtight rather than probabilistic.  The
-    kernel falls back to ``float_table`` whenever
+    The kernel delegates to ``float_table`` when
 
-    * the native tier is inactive (no numba, or
-      ``REPRO_DISABLE_NATIVE=1``) — graceful degradation, or
-    * the numpy kernel's reduction for the shape degenerates to a tile
-      whose *inner* axis is a single element (``n < 2``, or a transposed
-      tall-skinny run whose column block is 1 — including a remainder
-      block): there numpy's pairwise ``sum`` regroups the float32
-      accumulation, and matching that regrouping scalar-by-scalar is not
-      worth the complexity for shapes the gather tier has no business
-      winning anyway.
+    * the native tier is inactive (no compiler, a failed build, or
+      ``REPRO_DISABLE_NATIVE=1``), or
+    * ``float_table`` itself would regroup the sum, which happens only
+      where its reduced tile has one element on the inner axis and NumPy
+      sums along a contiguous axis pairwise: the standard orientation
+      with ``n == 1``, and the transposed orientation when a column
+      block is one row wide (a column budget of 1, or a remainder block
+      of one row).
 
+    ``n == 1`` in the transposed orientation (depthwise convolutions)
+    sums sequentially in both kernels and runs natively.
     Either way callers observe one bit-exact kernel; only the speed
     differs.  :attr:`active_backend` reports which path will run.
     """
@@ -659,58 +673,47 @@ class NativeGatherKernel(GemmKernel):
 
     @property
     def active_backend(self) -> str:
-        """``"numba-njit"`` when the JIT will run, else ``"numpy-fallback"``."""
-        return "numba-njit" if native_active() else "numpy-fallback"
+        """``"c"`` when the native library will run, else ``"numpy-fallback"``."""
+        return "c" if native_active() else "numpy-fallback"
 
     def _call_args(self, pa, pb, config, k_chunk) -> tuple | None:
         """Build the ``gather_gemm`` argument tuple, or ``None`` to delegate.
 
-        ``None`` marks the degenerate shapes documented on the class —
-        the ones where ``float_table``'s numpy reduction would regroup
-        the accumulation.  Exposed separately so the parity suite can
-        execute the uncompiled loop body on exactly the arguments the
-        JIT would receive.
+        ``None`` marks the shapes documented on the class where
+        ``float_table``'s NumPy reduction regroups the accumulation.
+        Exposed separately so the parity suite can call ``gather_gemm``
+        on exactly these arguments (and with explicit thread counts).
         """
         m, k = pa.shape
         n = pb.shape[1]
-        if n < 2:
-            return None
         masks = FloatTableKernel._range_masks(pa, pb)
         f32_exact, needs_flush, needs_overflow, flush_bits, inf_from = masks
         if f32_exact and m >= FloatTableKernel.TRANSPOSE_ASPECT * max(1, n):
             col_block = _row_block("float_table", k_chunk, k, n)
             if col_block < 2 or m % col_block == 1:
                 return None
-        table = value_table(pa.fmt.significand_bits, config)
-        flush_t = np.asarray([flush_bits], dtype=np.uint32).view(np.float32)[0]
-        inf_t = np.asarray([inf_from], dtype=np.uint32).view(np.float32)[0]
-        ma = np.ascontiguousarray(pa.significand.astype(np.intp))
-        mb_t = pb.significand.T.astype(np.intp, order="C")
-        alpha = np.ascontiguousarray(pa.scale())
-        beta_t = np.ascontiguousarray(pb.scale().T)
-        row_block = _row_block(self.name, k_chunk, k, n)
+        elif n == 1:
+            return None
         return (
-            table,
-            ma,
-            alpha,
-            mb_t,
-            beta_t,
+            value_table(pa.fmt.significand_bits, config),
+            pa.significand,
+            pa.scale(),
+            pb.significand,
+            pb.scale(),
             int(k_chunk),
-            int(row_block),
             bool(f32_exact),
             bool(needs_flush),
             bool(needs_overflow),
-            flush_t,
-            inf_t,
+            int(flush_bits),
+            int(inf_from),
         )
 
     def run(self, pa, pb, config, k_chunk):
-        """Compiled gather GEMM; delegates to ``float_table`` when inactive."""
-        jit = jit_gather() if native_active() else None
-        if jit is not None:
+        """Native gather GEMM; delegates to ``float_table`` as documented."""
+        if native_active():
             args = self._call_args(pa, pb, config, k_chunk)
             if args is not None:
-                return jit(*args)
+                return gather_gemm(*args)
         return _KERNELS["float_table"].run(pa, pb, config, k_chunk)
 
 
@@ -949,8 +952,8 @@ def kernel_names() -> list[str]:
 def exact_tier_name(fmt: FloatFormat) -> str:
     """Name of the bit-exact default tier for ``fmt`` in this process.
 
-    ``float_table_native`` when the native tier is active (numba
-    importable and ``REPRO_DISABLE_NATIVE`` unset), ``float_table``
+    ``float_table_native`` when the native tier is active (C library
+    built and loaded, ``REPRO_DISABLE_NATIVE`` unset), ``float_table``
     otherwise; ``generic`` for significand widths too wide to tabulate.
     All three produce identical bits — the name only decides speed.
     """

@@ -1,47 +1,40 @@
-"""Optional native (numba-JIT) kernel tier: availability and status.
+"""Native (C) kernel tier: availability and status.
 
-The native tier is a strict accelerator — never a requirement.  Three
-switches decide what actually runs:
+The native tier is a strict accelerator, never a requirement.
+:func:`native_active` decides what runs, and is what
+``select_kernel``/``exact_tier_name`` consult when picking the bit-exact
+default tier.  It is true when
 
-* :func:`native_available` — is numba importable at all?
-* ``REPRO_DISABLE_NATIVE=1`` — operator kill-switch; the tier reports
-  itself inactive and every call falls back to ``float_table``.
-* :func:`native_active` — the AND of the two: what
-  ``select_kernel``/``exact_tier_name`` consult when picking the
-  bit-exact default tier.
+* the ``REPRO_DISABLE_NATIVE`` kill-switch is unset (when set, nothing is
+  compiled or loaded and every call falls back to ``float_table``), and
+* the C library is loaded: the first check in a process builds it with
+  the system ``cc`` or loads the cached build (see
+  :mod:`repro.core.native.build`).
 
 :func:`native_status` bundles all of it into one introspection dict
-(mirroring ``table_cache_counters``-style reporting) that the serving
-benches and the perf harness embed in their reports, so "which tier ran"
-is always visible in recorded numbers.
+that the serving benches and the perf harness embed in their reports,
+so "which tier ran" is always visible in recorded numbers.
 """
 
 from __future__ import annotations
 
 import os
 
-from .gather import HAVE_NUMBA, gather_gemm, jit_gather, numba_version
+from .build import Build, loaded
+from .gather import gather_gemm, native_threads
 
 __all__ = [
     "DISABLE_ENV",
-    "HAVE_NUMBA",
     "gather_gemm",
-    "jit_gather",
     "native_active",
-    "native_available",
     "native_disabled",
     "native_status",
-    "numba_version",
+    "native_threads",
 ]
 
 #: Environment kill-switch: any value other than empty/``0`` disables
-#: the native tier even when numba is installed.
+#: the native tier even when a compiler is installed.
 DISABLE_ENV = "REPRO_DISABLE_NATIVE"
-
-
-def native_available() -> bool:
-    """Whether the numba JIT backend is importable in this process."""
-    return HAVE_NUMBA
 
 
 def native_disabled() -> bool:
@@ -50,32 +43,33 @@ def native_disabled() -> bool:
 
 
 def native_active() -> bool:
-    """Whether the native tier actually runs (available and not disabled)."""
-    return HAVE_NUMBA and not native_disabled()
+    """Whether the native tier runs (not disabled, library loaded)."""
+    return not native_disabled() and loaded().lib is not None
 
 
 def native_status() -> dict:
     """Introspection snapshot of the native tier.
 
-    Keys: ``available`` (numba importable), ``disabled`` (kill-switch
-    set), ``active`` (what will run), ``backend`` (``"numba-njit"`` or
-    ``"numpy-fallback"``), ``numba_version``, and ``threads`` (numba's
-    thread count, ``None`` on the fallback).  Cheap to call — it never
-    triggers a JIT compile.
+    Keys: ``disabled`` (kill-switch set), ``active`` (what will run),
+    ``backend`` (``"c"`` or ``"numpy-fallback"``), ``compiler`` (first
+    line of ``cc --version``), ``library`` (cached library path),
+    ``threads`` (threads a large GEMM uses) and ``build_error`` (``None``,
+    or ``{"reason", "detail"}`` saying why the tier is inactive:
+    ``disabled``, ``no-compiler``, ``compiler-failed``,
+    ``compile-failed``, ``load-failed`` or ``cache-failed``).
     """
-    status = {
-        "available": native_available(),
-        "disabled": native_disabled(),
-        "active": native_active(),
-        "backend": "numba-njit" if native_active() else "numpy-fallback",
-        "numba_version": numba_version(),
-        "threads": None,
+    disabled = native_disabled()
+    if disabled:
+        build = Build(error={"reason": "disabled", "detail": f"{DISABLE_ENV} is set"})
+    else:
+        build = loaded()
+    active = build.lib is not None
+    return {
+        "disabled": disabled,
+        "active": active,
+        "backend": "c" if active else "numpy-fallback",
+        "compiler": build.compiler,
+        "library": build.path,
+        "threads": native_threads() if active else None,
+        "build_error": build.error,
     }
-    if status["active"]:  # pragma: no cover - exercised on numba CI only
-        try:
-            import numba
-
-            status["threads"] = int(numba.get_num_threads())
-        except Exception:
-            pass
-    return status

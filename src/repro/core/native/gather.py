@@ -1,134 +1,102 @@
-"""The native gather-GEMM loop nest shared by the JIT and fallback paths.
+"""Call the native gather GEMM: operand checks, thread count, ``ctypes`` call.
 
-One function, :func:`gather_gemm`, holds the whole algorithm: a
-cache-blocked, K-chunked scalar loop nest over ``V0[ma, mb] * alpha *
-beta`` with the same per-element range masks and the same float32
-accumulation association as :class:`~repro.core.kernels.FloatTableKernel`
-— sequential over each K-chunk, chunk partials added in order.  The
-function body is written in the numba-compatible subset of python so the
-*same source* runs two ways:
+:func:`gather_gemm` runs ``repro_gather_gemm`` from ``gather.c`` (built
+and loaded by :mod:`repro.core.native.build`) on the packed planes as
+:class:`~repro.formats.packed.PackedTensor` stores them — uint32
+significand indices and float32 scale planes, no ``intp`` copies — and
+the value table ``V0`` indexed ``[ma, mb]`` directly, so no transposed
+table is ever needed.  The C loop nest keeps the kernel contract of
+:class:`~repro.core.kernels.FloatTableKernel` (see the C source header),
+and the output rows are split across threads, which is bit-neutral.
 
-* with numba installed, :func:`jit_gather` compiles it once per process
-  (``njit(parallel=True, cache=True)``, ``fastmath`` off — bit-exactness
-  is the contract) and row blocks run multithreaded via ``prange``;
-* without numba, :data:`HAVE_NUMBA` is false, ``prange`` degrades to
-  ``range``, and the uncompiled body is still importable/callable — the
-  parity suite executes it directly on tiny shapes, so even no-numba CI
-  proves the algorithm byte-identical to ``float_table``.
-
-The production no-numba path never runs the (slow) interpreted body:
-:class:`~repro.core.kernels.NativeGatherKernel` delegates to
-``float_table`` instead (see its docstring for the delegation rules).
+Threads: ``len(os.sched_getaffinity(0))``, but a GEMM below
+:data:`PARALLEL_MIN_MACS` runs on the calling thread alone, where
+creating and joining threads would cost more than it saves.
 """
 
 from __future__ import annotations
 
-import math
-import threading
+import os
 
 import numpy as np
 
-try:  # pragma: no cover - import probe; both arms covered across CI jobs
-    import numba as _numba
-    from numba import njit as _njit
-    from numba import prange
-except ImportError:  # pragma: no cover
-    _numba = None
-    _njit = None
-    prange = range
+from .build import loaded
 
-#: Whether the numba JIT is importable in this process.  The *active*
-#: switch (which also honours ``REPRO_DISABLE_NATIVE``) lives in
-#: :func:`repro.core.native.native_active`.
-HAVE_NUMBA = _numba is not None
+__all__ = ["PARALLEL_MIN_MACS", "gather_gemm", "native_threads"]
 
-__all__ = ["HAVE_NUMBA", "gather_gemm", "jit_gather", "numba_version"]
+#: Multiply-accumulates below which a GEMM runs single-threaded.  Measured
+#: crossover on a 2-vCPU x86-64 host (gcc 12, -O3, 300 interleaved calls
+#: per shape): creating and joining a thread costs 20-35 us there, so two
+#: threads lose below 2^16 MACs, break even between 2^16 and 2^17, and
+#: win by 1.3-1.8x from 2^18 on.
+PARALLEL_MIN_MACS = 1 << 17
+
+_F32_EXACT, _NEEDS_FLUSH, _NEEDS_OVERFLOW = 1, 2, 4
 
 
-def numba_version() -> str | None:
-    """The installed numba version string, or ``None`` when absent."""
-    return getattr(_numba, "__version__", None) if HAVE_NUMBA else None
+def native_threads() -> int:
+    """Threads a large GEMM uses: the CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
 
 
 def gather_gemm(
-    table,
-    ma,
-    alpha,
-    mb_t,
-    beta_t,
-    k_chunk,
-    row_block,
-    f32_exact,
-    needs_flush,
-    needs_overflow,
-    flush_t,
-    inf_t,
-):
-    """Scalar gather GEMM: ``out[r, j] = sum_t V0[ma, mb] * alpha * beta``.
+    table: np.ndarray,
+    ma: np.ndarray,
+    alpha: np.ndarray,
+    mb: np.ndarray,
+    beta: np.ndarray,
+    k_chunk: int,
+    f32_exact: bool,
+    needs_flush: bool,
+    needs_overflow: bool,
+    flush_bits: int,
+    inf_from: int,
+    threads: int | None = None,
+) -> np.ndarray:
+    """``out[r, j] = sum_t V0[ma[r, t], mb[t, j]] * alpha[r, t] * beta[t, j]``.
 
-    Operands arrive pre-oriented for unit-stride inner loops: ``ma`` and
-    ``alpha`` are the activation planes ``(m, k)``, ``mb_t``/``beta_t``
-    the *transposed* weight planes ``(n, k)``.  The flag arguments are
-    exactly ``FloatTableKernel._range_masks`` output with the two uint32
-    thresholds re-expressed as float32 magnitudes (``flush_t``/``inf_t``)
-    — bit and float comparison agree because no intermediate here can be
-    NaN (scale planes are finite, zero operands carry ``±0.0`` scales).
-
-    Accumulation order is the kernel contract: terms of one K-chunk sum
-    sequentially into a float32 partial, partials add in chunk order.
-    ``row_block`` only partitions the parallel loop — bit-neutral, like
-    the numpy kernel's row blocking.
+    ``ma``/``alpha`` are the ``(m, k)`` activation planes, ``mb``/``beta``
+    the ``(k, n)`` weight planes; the flag and threshold arguments are
+    :meth:`~repro.core.kernels.FloatTableKernel._range_masks` output.
+    ``threads=None`` picks the count as the module docstring says; an
+    explicit count exists so tests can prove thread-count invariance.
     """
+    table = np.ascontiguousarray(table, dtype=np.float32)
+    ma = np.ascontiguousarray(ma, dtype=np.uint32)
+    mb = np.ascontiguousarray(mb, dtype=np.uint32)
+    alpha = np.ascontiguousarray(alpha, dtype=np.float32)
+    beta = np.ascontiguousarray(beta, dtype=np.float32)
     m, k = ma.shape
-    n = mb_t.shape[0]
-    out = np.zeros((m, n), dtype=np.float32)
-    n_blocks = (m + row_block - 1) // row_block
-    for blk in prange(n_blocks):
-        r0 = blk * row_block
-        r1 = min(m, r0 + row_block)
-        for r in range(r0, r1):
-            for j in range(n):
-                acc = np.float32(0.0)
-                c0 = 0
-                while c0 < k:
-                    c1 = min(k, c0 + k_chunk)
-                    partial = np.float32(0.0)
-                    for t in range(c0, c1):
-                        v = table[ma[r, t], mb_t[j, t]]
-                        if f32_exact:
-                            v = np.float32(v * alpha[r, t])
-                            v = np.float32(v * beta_t[j, t])
-                        else:
-                            s = np.float32(alpha[r, t] * beta_t[j, t])
-                            v = np.float32(s * v)
-                        if needs_flush and abs(v) < flush_t:
-                            v = np.float32(math.copysign(0.0, v))
-                        if needs_overflow and abs(v) >= inf_t:
-                            v = np.float32(math.copysign(np.inf, v))
-                        partial = np.float32(partial + v)
-                    acc = np.float32(acc + partial)
-                    c0 = c1
-                out[r, j] = acc
+    n = mb.shape[1]
+    width = table.shape[0]
+    if table.shape != (width, width):
+        raise ValueError(f"value table must be square, got {table.shape}")
+    if mb.shape[0] != k or alpha.shape != ma.shape or beta.shape != mb.shape:
+        raise ValueError(f"operand planes disagree: {ma.shape} @ {mb.shape}")
+    # The C loop indexes the table with these without a bounds check.
+    for plane in (ma, mb):
+        if plane.size and int(plane.max()) >= width:
+            raise IndexError(f"significand index {int(plane.max())} outside a {width}-wide table")
+    if threads is None:
+        threads = 1 if m * k * n < PARALLEL_MIN_MACS else native_threads()
+    flags = (
+        (_F32_EXACT if f32_exact else 0)
+        | (_NEEDS_FLUSH if needs_flush else 0)
+        | (_NEEDS_OVERFLOW if needs_overflow else 0)
+    )
+    out = np.empty((m, n), dtype=np.float32)
+    lib = loaded().lib
+    if lib is None:
+        raise RuntimeError(f"native gather library unavailable: {loaded().error}")
+    status = lib.repro_gather_gemm(
+        table.ctypes.data, width,
+        ma.ctypes.data, alpha.ctypes.data,
+        mb.ctypes.data, beta.ctypes.data,
+        out.ctypes.data, m, k, n,
+        int(k_chunk), flags,
+        int(flush_bits), int(inf_from),
+        int(threads),
+    )
+    if status != 0:
+        raise MemoryError("native gather GEMM could not allocate its row buffers")
     return out
-
-
-_JIT_LOCK = threading.Lock()
-_JIT_FN = None
-
-
-def jit_gather():
-    """The compiled :func:`gather_gemm`, or ``None`` without numba.
-
-    Compiles lazily (first call pays the JIT) under a lock so parallel
-    shard threads never race the compiler; ``cache=True`` persists the
-    machine code next to the module, so repeat processes skip the
-    compile.  ``fastmath`` stays off: reassociation would break the
-    byte-parity contract with ``float_table``.
-    """
-    global _JIT_FN
-    if not HAVE_NUMBA:
-        return None
-    with _JIT_LOCK:
-        if _JIT_FN is None:
-            _JIT_FN = _njit(parallel=True, fastmath=False, cache=True)(gather_gemm)
-        return _JIT_FN

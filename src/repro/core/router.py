@@ -5,8 +5,8 @@ name"; this module answers "which kernel *should* run".  Passing
 ``kernel="auto"`` to ``approx_matmul`` / the backends / ``compile_plan``
 delegates the choice to :func:`route_kernel`, which picks between
 
-* the **bit-exact tier** (``float_table_native`` when numba is active,
-  ``float_table`` otherwise) — always correct, and the right answer for
+* the **bit-exact tier** (``float_table_native`` when the native C tier
+  is active, ``float_table`` otherwise) — always correct, and the right answer for
   tiny problems where fast-path setup overhead dominates; and
 * a **certified fast path** (the :data:`FAST_TIERS` ladder:
   ``blas_factored_fast`` with its rank ~1-3 correction, then the full

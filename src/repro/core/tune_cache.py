@@ -37,6 +37,7 @@ from .native import native_active
 __all__ = [
     "TUNE_CACHE_SCHEMA",
     "TuneCache",
+    "cache_root",
     "default_cache_path",
     "machine_fingerprint",
 ]
@@ -51,7 +52,7 @@ def machine_fingerprint() -> str:
 
     Covers the hardware/interpreter surface (machine, OS, python and
     numpy versions, CPU count) plus whether the native tier is active —
-    a budget tuned for the numba tier must not be replayed onto the
+    a budget tuned for the native C tier must not be replayed onto the
     numpy fallback or vice versa.
     """
     parts = (
@@ -65,20 +66,23 @@ def machine_fingerprint() -> str:
     return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
 
 
+def cache_root() -> str:
+    """The repository's cache root: ``$REPRO_CACHE_DIR``, else ``~/.cache/repro-daism``."""
+    return os.environ.get("REPRO_CACHE_DIR") or os.path.join(
+        os.path.expanduser("~"), ".cache", "repro-daism"
+    )
+
+
 def default_cache_path() -> str:
     """Resolve the cache file path from the environment.
 
     ``$REPRO_TUNE_CACHE`` (explicit file) wins; else the file lives
-    under ``$REPRO_CACHE_DIR`` (the repository's cache-root convention),
-    else under ``~/.cache/repro-daism/``.
+    under :func:`cache_root`.
     """
     explicit = os.environ.get("REPRO_TUNE_CACHE")
     if explicit:
         return explicit
-    base = os.environ.get("REPRO_CACHE_DIR") or os.path.join(
-        os.path.expanduser("~"), ".cache", "repro-daism"
-    )
-    return os.path.join(base, "tune_cache.json")
+    return os.path.join(cache_root(), "tune_cache.json")
 
 
 class TuneCache:

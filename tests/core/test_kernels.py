@@ -127,7 +127,7 @@ class TestRegistry:
             get_kernel("no_such_kernel")
 
     def test_default_selection_by_format(self):
-        # The default tier is native when numba is active, else float_table
+        # The default tier is native when the C tier is active, else float_table
         # — exact_tier_name is the single source of truth either way.
         assert select_kernel(BFLOAT16, PC3_TR).name == exact_tier_name(BFLOAT16)
         assert exact_tier_name(BFLOAT16) in ("float_table", "float_table_native")

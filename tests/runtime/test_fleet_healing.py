@@ -203,6 +203,8 @@ class TestHealthAndDemotion:
 
     def test_recurring_corruption_demotes_to_exact_tier(self):
         from repro.core.integrity import DEMOTE_AFTER
+        from repro.core.kernels import exact_tier_name
+        from repro.formats.floatfmt import BFLOAT16
 
         with FleetServer(workers=1, max_batch=4, max_delay_ms=0.5) as fleet:
             fleet.register(_snapshot())
@@ -220,7 +222,9 @@ class TestHealthAndDemotion:
                 fleet.check_health("lenet")
             stats = fleet.stats()["lenet"]
             assert stats["integrity_demotions"] >= 1
-            assert dep.snapshot.kernel == "float_table"
+            # The bit-exact tier of this machine: float_table_native where
+            # the C tier is built, float_table otherwise.
+            assert dep.snapshot.kernel == exact_tier_name(BFLOAT16)
             assert any(e.get("error") == "integrity" for e in fleet.events())
             # The demoted fleet still serves, byte-identical to a
             # parent-side plan on the demoted snapshot.

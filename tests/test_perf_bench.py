@@ -81,7 +81,7 @@ def test_quick_run_writes_valid_artifact(quick_report):
     assert tiers["autotune_tier"]["tier"] in tiers["autotune_tier"]["timings_ms"]
     # Degradation surface: the artifact records which gather tier ran.
     assert tiers["status"]["exact_tier"] in ("float_table", "float_table_native")
-    assert tiers["status"]["native"]["backend"] in ("numba-njit", "numpy-fallback")
+    assert tiers["status"]["native"]["backend"] in ("c", "numpy-fallback")
 
     net = report["network"]
     assert net["model"] == "lenet"
