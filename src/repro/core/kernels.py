@@ -682,7 +682,7 @@ class NativeGatherKernel(GemmKernel):
         ``None`` marks the shapes documented on the class where
         ``float_table``'s NumPy reduction regroups the accumulation.
         Exposed separately so the parity suite can call ``gather_gemm``
-        on exactly these arguments (and with explicit thread counts).
+        on exactly these arguments.
         """
         m, k = pa.shape
         n = pb.shape[1]

@@ -55,8 +55,9 @@ def native_status() -> dict:
     line of ``cc --version``), ``library`` (cached library path),
     ``threads`` (threads a large GEMM uses) and ``build_error`` (``None``,
     or ``{"reason", "detail"}`` saying why the tier is inactive:
-    ``disabled``, ``no-compiler``, ``compiler-failed``,
-    ``compile-failed``, ``load-failed`` or ``cache-failed``).
+    ``disabled``, ``unsupported-platform``, ``no-compiler``,
+    ``compiler-failed``, ``compile-failed``, ``load-failed`` or
+    ``cache-failed``).
     """
     disabled = native_disabled()
     if disabled:

@@ -15,7 +15,8 @@ machine with ``cc`` and cached on disk; every later process only
 * **Concurrency.**  Builds run under an ``fcntl`` lock on a per-key lock
   file, compile into a temporary file and ``os.replace`` it into place,
   so concurrent cold starts build once and no reader sees a partial file.
-  A cached file that fails to load (truncated, foreign) is rebuilt.
+  A cached file that fails to load (truncated, foreign) is rebuilt.  A
+  platform without ``fcntl`` (Windows) reports ``unsupported-platform``.
 * **Flags.**  :data:`CFLAGS` keeps IEEE semantics (``-ffp-contract=off
   -fno-fast-math``: no fused multiply-add, no reassociation) and leaves
   out ``-march=native``, which measured no faster and would make a shared
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import ctypes
 import dataclasses
-import fcntl
 import hashlib
 import os
 import shutil
@@ -160,6 +160,10 @@ def _compile(cc: str, target: str) -> None:
 
 
 def _build(cc: str) -> Build:
+    try:
+        import fcntl
+    except ImportError as exc:  # no POSIX file locks (Windows)
+        raise _Failure("unsupported-platform", f"no fcntl module: {exc}") from exc
     directory = cache_dir()
     os.makedirs(directory, exist_ok=True)
     compiler = _compiler_version(cc, directory)

@@ -9,7 +9,7 @@ table is ever needed.  The C loop nest keeps the kernel contract of
 :class:`~repro.core.kernels.FloatTableKernel` (see the C source header),
 and the output rows are split across threads, which is bit-neutral.
 
-Threads: ``len(os.sched_getaffinity(0))``, but a GEMM below
+Threads: :func:`native_threads`, but a GEMM below
 :data:`PARALLEL_MIN_MACS` runs on the calling thread alone, where
 creating and joining threads would cost more than it saves.
 """
@@ -35,8 +35,15 @@ _F32_EXACT, _NEEDS_FLUSH, _NEEDS_OVERFLOW = 1, 2, 4
 
 
 def native_threads() -> int:
-    """Threads a large GEMM uses: the CPUs this process may run on."""
-    return len(os.sched_getaffinity(0))
+    """Threads a large GEMM uses: the CPUs this process may run on.
+
+    ``os.sched_getaffinity`` where the platform has it (Linux), else
+    ``os.cpu_count()``.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is not None:
+        return len(affinity(0))
+    return os.cpu_count() or 1
 
 
 def gather_gemm(
@@ -51,15 +58,12 @@ def gather_gemm(
     needs_overflow: bool,
     flush_bits: int,
     inf_from: int,
-    threads: int | None = None,
 ) -> np.ndarray:
     """``out[r, j] = sum_t V0[ma[r, t], mb[t, j]] * alpha[r, t] * beta[t, j]``.
 
     ``ma``/``alpha`` are the ``(m, k)`` activation planes, ``mb``/``beta``
     the ``(k, n)`` weight planes; the flag and threshold arguments are
     :meth:`~repro.core.kernels.FloatTableKernel._range_masks` output.
-    ``threads=None`` picks the count as the module docstring says; an
-    explicit count exists so tests can prove thread-count invariance.
     """
     table = np.ascontiguousarray(table, dtype=np.float32)
     ma = np.ascontiguousarray(ma, dtype=np.uint32)
@@ -77,8 +81,7 @@ def gather_gemm(
     for plane in (ma, mb):
         if plane.size and int(plane.max()) >= width:
             raise IndexError(f"significand index {int(plane.max())} outside a {width}-wide table")
-    if threads is None:
-        threads = 1 if m * k * n < PARALLEL_MIN_MACS else native_threads()
+    threads = 1 if m * k * n < PARALLEL_MIN_MACS else native_threads()
     flags = (
         (_F32_EXACT if f32_exact else 0)
         | (_NEEDS_FLUSH if needs_flush else 0)

@@ -15,6 +15,7 @@ inactive (a box with no ``cc``); every kernel-level parity test still
 runs there and checks the delegation path.
 """
 
+import contextlib
 import json
 import os
 import select
@@ -41,6 +42,8 @@ from repro.core.kernels import (
     value_table,
 )
 from repro.core.native import (
+    build,
+    gather,
     gather_gemm,
     native_active,
     native_disabled,
@@ -79,18 +82,31 @@ def _bits(x):
     return np.asarray(x).view(np.uint32)
 
 
+@contextlib.contextmanager
+def _threads(count):
+    """Make every ``gather_gemm`` call inside run on ``count`` threads."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gather, "PARALLEL_MIN_MACS", 0)
+        mp.setattr(gather, "native_threads", lambda: count)
+        yield
+
+
+def _gemm_at(args, count):
+    with _threads(count):
+        return gather_gemm(*args)
+
+
 def _assert_native_matches(a, b, fmt, config, k_chunk, threads=(1, 3)):
     pa, pb = pack(a, fmt), pack(b, fmt)
     want = _TABLE.run(pa, pb, config, k_chunk)
     got = _NATIVE.run(pa, pb, config, k_chunk)
     np.testing.assert_array_equal(_bits(got), _bits(want))
     # Call the C entry point directly too, bypassing the kernel's
-    # dispatch, at explicit thread counts, whenever the shape runs natively.
+    # dispatch, at fixed thread counts, whenever the shape runs natively.
     args = _NATIVE._call_args(pa, pb, config, k_chunk)
     if args is not None and native_active():
         for count in threads:
-            direct = gather_gemm(*args, threads=count)
-            np.testing.assert_array_equal(_bits(direct), _bits(want))
+            np.testing.assert_array_equal(_bits(_gemm_at(args, count)), _bits(want))
     return args
 
 
@@ -126,7 +142,7 @@ class TestByteParity:
             ((5, 9, 3), 4),  # ragged tail chunk
             ((8, 17, 2), 5),  # narrow n: the C dot form
             ((8, 17, 1), 17),  # single output column: must delegate
-            ((96, 17, 4), 17),  # several C row blocks
+            ((96, 17, 9), 17),  # several C row blocks
             ((640, 13, 5), 13),  # float_table takes its transposed path
         ],
     )
@@ -325,9 +341,9 @@ class TestThreads:
         masks = FloatTableKernel._range_masks(pa, pb)
         table = value_table(BFLOAT16.significand_bits, PC3_TR)
         args = (table, pa.significand, pa.scale(), pb.significand, pb.scale(), 5, *masks)
-        one = gather_gemm(*args, threads=1)
+        one = _gemm_at(args, 1)
         for count in (2, 3, 7, native_threads(), m + 5):
-            np.testing.assert_array_equal(_bits(gather_gemm(*args, threads=count)), _bits(one))
+            np.testing.assert_array_equal(_bits(_gemm_at(args, count)), _bits(one))
 
     def test_fork_after_parallel_call(self):
         rng = np.random.default_rng(4)
@@ -335,13 +351,13 @@ class TestThreads:
         b = rng.standard_normal((64, 48)).astype(np.float32)
         pa, pb = pack(a, BFLOAT16), pack(b, BFLOAT16)
         args = _NATIVE._call_args(pa, pb, PC3_TR, 64)
-        want = gather_gemm(*args, threads=4)  # parent runs a parallel call first
+        want = _gemm_at(args, 4)  # parent runs a parallel call first
         read_fd, write_fd = os.pipe()
         pid = os.fork()
         if pid == 0:  # child: a parallel call must complete, not hang
             try:
                 os.close(read_fd)
-                got = gather_gemm(*args, threads=4)
+                got = _gemm_at(args, 4)
                 os.write(write_fd, got.tobytes())
             finally:
                 os._exit(0)
@@ -538,6 +554,51 @@ class TestGracefulDegradation:
         assert got["backend"] == "numpy-fallback"
         assert got["tier"] == "float_table"
         assert got["build_error"]["reason"] == "no-compiler"
+
+    def test_no_sched_getaffinity_uses_cpu_count(self, monkeypatch):
+        # macOS has no os.sched_getaffinity: the thread count falls back to
+        # os.cpu_count() and a GEMM large enough to thread still runs.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert native_threads() == (os.cpu_count() or 1)
+        status = native_status()
+        if status["active"]:
+            assert status["threads"] == native_threads()
+        rng = np.random.default_rng(8)
+        pa = pack(rng.standard_normal((128, 64)).astype(np.float32), BFLOAT16)
+        pb = pack(rng.standard_normal((64, 24)).astype(np.float32), BFLOAT16)
+        assert 128 * 64 * 24 >= gather.PARALLEL_MIN_MACS
+        np.testing.assert_array_equal(
+            _bits(_NATIVE.run(pa, pb, PC3_TR, 64)), _bits(_TABLE.run(pa, pb, PC3_TR, 64))
+        )
+
+    def test_no_fcntl_module_falls_back(self, tmp_path):
+        # A platform without fcntl or sched_getaffinity (Windows): the
+        # package still imports, the tier reports why it is inactive, and
+        # the kernel delegates to float_table.
+        code = (
+            "import os, sys;"
+            "sys.modules['fcntl'] = None;"
+            "del os.sched_getaffinity;"
+            "import numpy as np;"
+            "from repro.core.config import PC3_TR;"
+            "from repro.core.kernels import get_kernel;"
+            "from repro.formats.floatfmt import BFLOAT16;"
+            "from repro.formats.packed import pack;"
+            "rng = np.random.default_rng(0);"
+            "pa = pack(rng.standard_normal((6, 8)).astype(np.float32), BFLOAT16);"
+            "pb = pack(rng.standard_normal((8, 4)).astype(np.float32), BFLOAT16);"
+            "got = get_kernel('float_table_native').run(pa, pb, PC3_TR, 8);"
+            "want = get_kernel('float_table').run(pa, pb, PC3_TR, 8);"
+            "assert got.tobytes() == want.tobytes();"
+            + _STATUS_CODE
+        )
+        got = json.loads(_run_python(code, tmp_path, REPRO_DISABLE_NATIVE="").stdout)
+        assert got["active"] is False
+        assert got["tier"] == "float_table"
+        assert got["threads"] is None
+        expected = "unsupported-platform" if build.shutil.which(build.COMPILER) else "no-compiler"
+        assert got["build_error"]["reason"] == expected
+        assert not (tmp_path / "native").exists()  # nothing compiled
 
     def test_disabled_kernel_still_byte_exact(self, monkeypatch):
         # With native disabled the kernel must silently delegate — same
