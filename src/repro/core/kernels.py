@@ -98,7 +98,7 @@ from ..formats.packed import PackedTensor
 from . import integrity
 from .config import MultiplierConfig
 from .fp_mul import _normalise, significand_product
-from .native import gather_gemm, native_active, native_status
+from .native import conv_ranges, gather_gemm, native_active, native_status
 from .tables import table_supported
 
 __all__ = [
@@ -512,15 +512,27 @@ class FloatTableKernel(GemmKernel):
 
     @staticmethod
     def _range_masks(pa, pb) -> tuple[bool, bool, bool, np.uint32, np.uint32]:
-        fmt = pa.fmt
         ea, eb = pa.exponent, pb.exponent
-        ea_min, ea_max = int(ea.min(initial=0)), int(ea.max(initial=0))
-        eb_min, eb_max = int(eb.min(initial=0)), int(eb.max(initial=0))
+        return FloatTableKernel._masks_from_ranges(
+            pa.fmt,
+            int(ea.min(initial=0)),
+            int(ea.max(initial=0)),
+            int(eb.min(initial=0)),
+            int(eb.max(initial=0)),
+        )
 
+    @staticmethod
+    def _masks_from_ranges(fmt, ea_min, ea_max, eb_min, eb_max):
+        """Range-mask flags from the operands' exponent ranges.
+
+        Elementwise, so the ranges may also be arrays (one entry per
+        group of a grouped convolution); the thresholds depend on
+        ``fmt`` alone.
+        """
         # Every float32 intermediate is exact when scale products cannot
         # overflow or go subnormal; then the in-place multiply order is
         # bit-equivalent to composing the exact scale product first.
-        f32_exact = ea_max <= 125 and eb_max <= 125 and ea_min + eb_min >= -126
+        f32_exact = (ea_max <= 125) & (eb_max <= 125) & (ea_min + eb_min >= -126)
         emin_u = 1 - fmt.bias
         emax_u = fmt.max_exponent - fmt.bias
         # Format-range masks: a product below 2^emin flushes to signed
@@ -528,7 +540,7 @@ class FloatTableKernel(GemmKernel):
         # bit formats the overflow mask is a no-op (float32 shares emax,
         # so IEEE multiply already saturates identically).
         needs_flush = ea_min + eb_min < emin_u
-        needs_overflow = emax_u < 127 and ea_max + eb_max + 1 > emax_u
+        needs_overflow = (emax_u < 127) & (ea_max + eb_max + 1 > emax_u)
         flush_bits = np.uint32((emin_u + 127) << 23)
         inf_from = np.uint32((emax_u + 128) << 23)
         return f32_exact, needs_flush, needs_overflow, flush_bits, inf_from
@@ -662,6 +674,9 @@ class NativeGatherKernel(GemmKernel):
     sums sequentially in both kernels and runs natively.
     Either way callers observe one bit-exact kernel; only the speed
     differs.  :attr:`active_backend` reports which path will run.
+    :meth:`_delegates` is that rule; :meth:`_call_args` applies it to a
+    GEMM and :meth:`_conv_call_args` to every group of a grouped
+    convolution run in one native call.
     """
 
     name = "float_table_native"
@@ -676,6 +691,18 @@ class NativeGatherKernel(GemmKernel):
         """``"c"`` when the native library will run, else ``"numpy-fallback"``."""
         return "c" if native_active() else "numpy-fallback"
 
+    @staticmethod
+    def _delegates(m: int, k: int, n: int, k_chunk: int, f32_exact: bool) -> bool:
+        """Whether an ``(m, k) @ (k, n)`` product is handed to ``float_table``.
+
+        True exactly for the shapes documented on the class, where
+        ``float_table``'s NumPy reduction regroups the accumulation.
+        """
+        if f32_exact and m >= FloatTableKernel.TRANSPOSE_ASPECT * max(1, n):
+            col_block = _row_block("float_table", k_chunk, k, n)
+            return col_block < 2 or m % col_block == 1
+        return n == 1
+
     def _call_args(self, pa, pb, config, k_chunk) -> tuple | None:
         """Build the ``gather_gemm`` argument tuple, or ``None`` to delegate.
 
@@ -688,11 +715,7 @@ class NativeGatherKernel(GemmKernel):
         n = pb.shape[1]
         masks = FloatTableKernel._range_masks(pa, pb)
         f32_exact, needs_flush, needs_overflow, flush_bits, inf_from = masks
-        if f32_exact and m >= FloatTableKernel.TRANSPOSE_ASPECT * max(1, n):
-            col_block = _row_block("float_table", k_chunk, k, n)
-            if col_block < 2 or m % col_block == 1:
-                return None
-        elif n == 1:
+        if self._delegates(m, k, n, k_chunk, f32_exact):
             return None
         return (
             value_table(pa.fmt.significand_bits, config),
@@ -706,6 +729,52 @@ class NativeGatherKernel(GemmKernel):
             bool(needs_overflow),
             int(flush_bits),
             int(inf_from),
+        )
+
+    def _conv_call_args(
+        self, image, weight, bias, kernel, stride, padding, config, k_chunk
+    ) -> tuple | None:
+        """Build the ``grouped_conv`` argument tuple, or ``None`` to run per group.
+
+        ``image`` is the packed ``(N, C, H, W)`` input and ``weight`` the
+        groups' packed weights stacked to ``(groups, K_g, cout_g)``.  The
+        one-call convolution runs every group's GEMM as this kernel would
+        run it natively, so it applies only when no group's GEMM would be
+        delegated (:meth:`_delegates`), judged on each group's range
+        masks over exactly the pixels its windows read.
+        """
+        n, _c, h, w = image.shape
+        groups, kg, cout_g = weight.shape
+        emin, emax, sig_max = conv_ranges(
+            image.exponent, image.significand, groups, kernel, stride, padding
+        )
+        wexp = weight.exponent.reshape(groups, -1)
+        masks = FloatTableKernel._masks_from_ranges(
+            image.fmt, emin, emax, wexp.min(axis=1, initial=0), wexp.max(axis=1, initial=0)
+        )
+        f32_exact, needs_flush, needs_overflow, flush_bits, inf_from = masks
+        oh = (h + 2 * padding - kernel) // stride + 1
+        m = n * oh * ((w + 2 * padding - kernel) // stride + 1)
+        for exact in (True, False):
+            if np.any(f32_exact == exact) and self._delegates(m, kg, cout_g, k_chunk, exact):
+                return None
+        return (
+            value_table(image.fmt.significand_bits, config),
+            image.significand,
+            image.scale(),
+            weight.significand,
+            weight.scale(),
+            bias,
+            int(kernel),
+            int(stride),
+            int(padding),
+            int(k_chunk),
+            f32_exact,
+            needs_flush,
+            needs_overflow,
+            int(flush_bits),
+            int(inf_from),
+            sig_max,
         )
 
     def run(self, pa, pb, config, k_chunk):

@@ -21,15 +21,18 @@ from __future__ import annotations
 import os
 
 from .build import Build, loaded
-from .gather import gather_gemm, native_threads
+from .gather import conv_ranges, gather_gemm, grouped_conv, native_threads, pack_e8
 
 __all__ = [
     "DISABLE_ENV",
+    "conv_ranges",
     "gather_gemm",
+    "grouped_conv",
     "native_active",
     "native_disabled",
     "native_status",
     "native_threads",
+    "pack_e8",
 ]
 
 #: Environment kill-switch: any value other than empty/``0`` disables

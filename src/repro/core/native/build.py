@@ -119,15 +119,9 @@ def _compiler_version(cc: str, directory: str) -> str:
     return proc.stdout
 
 
-def _open(path: str) -> ctypes.CDLL:
-    """``dlopen`` ``path`` and bind the exported signatures (``OSError`` if unusable)."""
-    lib = ctypes.CDLL(path)
-    try:
-        fn = lib.repro_gather_gemm
-    except AttributeError as exc:
-        raise OSError(f"{path}: missing symbol ({exc})") from exc
-    fn.restype = _INT
-    fn.argtypes = [
+#: ``argtypes`` of every exported entry point (all return ``int`` status).
+_SIGNATURES = {
+    "repro_gather_gemm": [
         _PTR, _I64,  # table, width
         _PTR, _PTR,  # ma, alpha
         _PTR, _PTR,  # mb, beta
@@ -135,7 +129,45 @@ def _open(path: str) -> ctypes.CDLL:
         _I64, _INT,  # k_chunk, flags
         _U32, _U32,  # flush_bits, inf_from
         _INT,  # threads
-    ]
+    ],
+    "repro_pack_e8": [
+        _PTR, _I64, _INT,  # bits, size, mantissa_bits
+        _PTR, _PTR, _PTR, _PTR, _PTR,  # sign, exponent, significand, dense, scale
+        _INT,  # threads
+    ],
+    "repro_conv_ranges": [
+        _PTR, _PTR,  # exponent, significand
+        _I64, _I64, _I64, _I64,  # n, channels, h, w
+        _I64, _I64, _I64, _I64,  # groups, kernel, stride, padding
+        _I64, _I64,  # oh, ow
+        _PTR, _PTR, _PTR,  # emin, emax, sig_max
+        _INT,  # threads
+    ],
+    "repro_grouped_conv": [
+        _PTR, _I64,  # table, width
+        _PTR, _PTR,  # significand, scale
+        _PTR, _PTR,  # weight significand, weight scale
+        _PTR, _PTR,  # bias, out
+        _I64, _I64, _I64, _I64,  # n, channels, h, w
+        _I64, _I64,  # groups, cout_g
+        _I64, _I64, _I64,  # kernel, stride, padding
+        _I64, _I64, _I64,  # oh, ow, k_chunk
+        _PTR, _U32, _U32,  # flags, flush_bits, inf_from
+        _INT,  # threads
+    ],
+}
+
+
+def _open(path: str) -> ctypes.CDLL:
+    """``dlopen`` ``path`` and bind the exported signatures (``OSError`` if unusable)."""
+    lib = ctypes.CDLL(path)
+    for name, argtypes in _SIGNATURES.items():
+        try:
+            fn = getattr(lib, name)
+        except AttributeError as exc:
+            raise OSError(f"{path}: missing symbol ({exc})") from exc
+        fn.restype = _INT
+        fn.argtypes = argtypes
     return lib
 
 

@@ -10,6 +10,12 @@ as-is.  Static weights are packed a single time and reused for every
 matmul (see ``MatmulBackend.prepare`` and the weight caches in
 :mod:`repro.nn.layers`).
 
+For formats with 8 exponent bits the quantise+decompose is one fused
+pass over the float32 bits.  When the native tier is active
+(:func:`repro.core.native.native_active`) that pass runs in C, threaded
+(:func:`repro.core.native.pack_e8`); otherwise :func:`_pack_fast_e8`
+runs it in NumPy.  Both write the same five planes byte for byte.
+
 The module keeps global packing counters so tests and the perf harness
 can assert that a hot path performs *zero* re-quantise/decompose work.
 """
@@ -224,6 +230,28 @@ def _pack_fast_e8(arr: np.ndarray, fmt: FloatFormat) -> PackedTensor | None:
     return packed
 
 
+def _pack_e8(arr: np.ndarray, fmt: FloatFormat) -> PackedTensor | None:
+    """:func:`_pack_fast_e8`, run by its native twin when that tier is active.
+
+    The native pack (:func:`repro.core.native.pack_e8`) writes the same
+    five planes in one threaded pass over the float32 bits and reports
+    non-finite input the same way (``None``).
+    """
+    # Imported here: repro.core imports this module.
+    from ..core.native import native_active, pack_e8
+
+    if not native_active():
+        return _pack_fast_e8(arr, fmt)
+    planes = pack_e8(arr, fmt.mantissa_bits)
+    if planes is None:
+        return None
+    sign, exponent, significand, dense, scale = planes
+    packed = PackedTensor(fmt, sign, exponent, significand)
+    packed._dense = dense
+    packed._scale = scale
+    return packed
+
+
 def pack(values: np.ndarray, fmt: FloatFormat) -> "PackedTensor":
     """Quantise ``values`` to ``fmt`` and decompose into planes, once.
 
@@ -231,9 +259,10 @@ def pack(values: np.ndarray, fmt: FloatFormat) -> "PackedTensor":
     packed arithmetic pipeline — its call count is tracked in the global
     packing counters precisely so callers can verify a value was packed
     only once.  Formats with a full 8-bit exponent take a fused
-    single-pass route (:func:`_pack_fast_e8`, byte-identical to
-    ``quantize`` + ``decompose`` for finite inputs); narrower exponent
-    ranges go through the generic pipeline.
+    single-pass route (byte-identical to ``quantize`` + ``decompose`` for
+    finite inputs): the native C pack when the native tier is active,
+    else :func:`_pack_fast_e8`.  Narrower exponent ranges, and tensors
+    holding a NaN or Inf, go through the generic pipeline.
     """
     if isinstance(values, PackedTensor):
         raise TypeError("values are already packed; pack() expects a float array")
@@ -242,7 +271,7 @@ def pack(values: np.ndarray, fmt: FloatFormat) -> "PackedTensor":
         _COUNTERS["pack_calls"] += 1
         _COUNTERS["elements_packed"] += arr.size
     if fmt.exponent_bits == 8:
-        fast = _pack_fast_e8(arr, fmt)
+        fast = _pack_e8(arr, fmt)
         if fast is not None:
             return fast
     quantised = quantize(arr, fmt)

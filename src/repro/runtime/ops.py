@@ -24,13 +24,19 @@ compiler and the accelerator co-sim
 (:func:`repro.runtime.plan.conv_workload`) consume that one description
 instead of re-walking the module tree with their own shape logic.
 
-One genuine optimisation over the eager path lives here:
-:func:`pack_cols` packs a convolution *input image* once and gathers the
-packed bit planes through im2col, instead of materialising the
-``K*K``-fold redundant patch matrix and quantising every copy.
-Quantisation is elementwise, so the gathered planes are byte-identical
-to ``pack(im2col(x))`` — the ~``K*K``x cut in quantise/decompose work is
-free of any numerical change.
+Two genuine optimisations over the eager path live here:
+
+* :func:`pack_cols` packs a convolution *input image* once and gathers
+  the packed bit planes through im2col, instead of materialising the
+  ``K*K``-fold redundant patch matrix and quantising every copy.
+  Quantisation is elementwise, so the gathered planes are byte-identical
+  to ``pack(im2col(x))`` — the ~``K*K``x cut in quantise/decompose work
+  is free of any numerical change.
+* :class:`GroupedConvOp` on the native tier skips im2col altogether: one
+  :func:`~repro.core.native.grouped_conv` call runs every group's GEMM
+  directly on the packed image and writes the NCHW output, with each
+  output element's terms in im2col column order — byte-identical to the
+  per-group loop it replaces.
 """
 
 from __future__ import annotations
@@ -39,7 +45,8 @@ import dataclasses
 
 import numpy as np
 
-from ..core.kernels import GemmKernel, default_k_chunk
+from ..core.kernels import GemmKernel, NativeGatherKernel, default_k_chunk
+from ..core.native import grouped_conv, native_active
 from ..formats.floatfmt import FloatFormat, quantize
 from ..formats.packed import PackedTensor, pack
 from ..nn import functional as F
@@ -378,11 +385,27 @@ class ConvOp(PlanOp):
 class GroupedConvOp(PlanOp):
     """Grouped/depthwise convolution: one resolved strategy per group.
 
-    Packs the input image *once* and gathers each group's patch planes
-    from a channel slice of the shared packed planes (see
-    :func:`gather_packed_cols`) — the grouped analogue of the
-    :class:`ConvOp` pack-once optimisation, byte-identical to the eager
-    per-group ``pack(im2col(x[:, slice]))``.
+    Two paths, byte-identical to each other and to the eager per-group
+    ``pack(im2col(x[:, slice]))`` GEMMs:
+
+    * **One call** (native tier): every group's GEMM runs in a single
+      :func:`~repro.core.native.grouped_conv` call directly on the packed
+      NCHW image, written straight to NCHW — no im2col, no per-group
+      gathers, no concatenate or transpose.  Taken only when the native
+      tier is active, every group resolved to ``float_table_native``,
+      and no group's GEMM would be delegated to ``float_table``
+      (:meth:`~repro.core.kernels.NativeGatherKernel._conv_call_args`
+      decides, beside the GEMM's own delegation rule).
+    * **Per group** otherwise (the kill switch, approximate tiers,
+      :class:`BackendStrategy`): the image is packed *once* and each
+      group's patch planes are gathered from a channel slice of the
+      shared packed planes (see :func:`gather_packed_cols`).
+
+    When every group resolved to ``float_table_native``, the compiled
+    weight planes are stacked to ``(groups, K_g, cout_g)`` once and each
+    group's :class:`~repro.formats.packed.PackedTensor` is a view into
+    that stack (:attr:`stacked`), so both paths read one copy of the
+    weights — the bytes ``plan_digest`` hashes.
     """
 
     kind = "conv2d"
@@ -407,17 +430,79 @@ class GroupedConvOp(PlanOp):
         self.groups = groups
         self.name = name
         self.row_independent = all(s.row_independent for s in self.strategies)
+        #: The groups' packed weights stacked to ``(groups, K_g, cout_g)``,
+        #: or ``None`` when the one-call path can never apply.
+        self.stacked = self._stack_weights()
+
+    def _stack_weights(self) -> PackedTensor | None:
+        strategies = self.strategies
+        first = strategies[0]
+        if self.bias is not None and self.bias.dtype != np.float32:
+            return None
+        for s in strategies:
+            if not (
+                isinstance(s, PackedKernelStrategy)
+                and isinstance(s.kernel, NativeGatherKernel)
+                and (s.fmt, s.config, s.k_chunk) == (first.fmt, first.config, first.k_chunk)
+                and s.weight.shape == first.weight.shape
+            ):
+                return None
+        weights = [s.weight for s in strategies]
+        stacked = PackedTensor(
+            first.fmt,
+            np.stack([w.sign for w in weights]),
+            np.stack([w.exponent for w in weights]),
+            np.stack([w.significand for w in weights]),
+        )
+        stacked._scale = np.stack([w.scale() for w in weights])
+        for g, s in enumerate(strategies):
+            view = PackedTensor(
+                first.fmt, stacked.sign[g], stacked.exponent[g], stacked.significand[g]
+            )
+            view._scale = stacked._scale[g]
+            s.weight = view
+        return stacked
 
     def apply(self, x: np.ndarray, ctx: ExecContext) -> np.ndarray:
-        n, c, h, w = x.shape
-        cg = c // self.groups
-        oh = (h + 2 * self.padding - self.kernel) // self.stride + 1
-        ow = (w + 2 * self.padding - self.kernel) // self.stride + 1
-        rows_total = ctx.total_batch * oh * ow
         first = self.strategies[0]
         packed = None
         if first.packed_input:
             packed = pack(np.ascontiguousarray(x, dtype=np.float32), first.fmt)
+            if self.stacked is not None and native_active():
+                out = self._apply_one_call(packed, ctx)
+                if out is not None:
+                    return out
+        return self._apply_groups(x, packed, ctx)
+
+    def _geometry(self, x_shape: tuple[int, ...], ctx: ExecContext) -> tuple[int, int, int]:
+        """``(oh, ow, rows_total)``: output size and full-batch GEMM rows."""
+        _n, _c, h, w = x_shape
+        oh = (h + 2 * self.padding - self.kernel) // self.stride + 1
+        ow = (w + 2 * self.padding - self.kernel) // self.stride + 1
+        return oh, ow, ctx.total_batch * oh * ow
+
+    def _apply_one_call(self, packed: PackedTensor, ctx: ExecContext) -> np.ndarray | None:
+        """The native one-call path, or ``None`` when some group must run alone."""
+        first = self.strategies[0]
+        k_chunk = first.k_chunk
+        if k_chunk is None:
+            rows_total = self._geometry(packed.shape, ctx)[2]
+            k_chunk = default_k_chunk(rows_total, self.stacked.shape[2])
+        args = first.kernel._conv_call_args(
+            packed, self.stacked, self.bias, self.kernel, self.stride, self.padding,
+            first.config, k_chunk,
+        )
+        if args is None:
+            return None
+        return grouped_conv(*args)
+
+    def _apply_groups(
+        self, x: np.ndarray, packed: PackedTensor | None, ctx: ExecContext
+    ) -> np.ndarray:
+        """The per-group loop over the once-packed image ``packed``."""
+        n, c, _h, _w = x.shape
+        cg = c // self.groups
+        oh, ow, rows_total = self._geometry(x.shape, ctx)
         outs = []
         for g, strategy in enumerate(self.strategies):
             channels = slice(g * cg, (g + 1) * cg)
