@@ -24,10 +24,8 @@ from .errors import ErrorStats, fp_error_stats, mantissa_error_stats
 from .fp_mul import approx_fp_multiply, exact_fp_multiply, significand_product
 from .gemm import ApproxMatmul, ExactMatmul, MatmulBackend, QuantizedMatmul, approx_matmul
 from .kernels import (
-    AutotuneResult,
     GemmKernel,
     UnknownKernelError,
-    autotune_row_budget,
     exact_tier_name,
     get_kernel,
     kernel_names,
@@ -41,12 +39,10 @@ from .native import native_active, native_status
 from .router import (
     TierCertificate,
     TierDecision,
-    autotune_tier,
     certify_fast_path,
     route_decision,
     route_kernel,
 )
-from .tune_cache import TuneCache, machine_fingerprint
 from .related_work import (
     compressed_pp_multiply,
     compressed_pp_multiply_array,
@@ -88,10 +84,8 @@ __all__ = [
     "MatmulBackend",
     "QuantizedMatmul",
     "approx_matmul",
-    "AutotuneResult",
     "GemmKernel",
     "UnknownKernelError",
-    "autotune_row_budget",
     "exact_tier_name",
     "get_kernel",
     "kernel_names",
@@ -104,12 +98,9 @@ __all__ = [
     "native_status",
     "TierCertificate",
     "TierDecision",
-    "autotune_tier",
     "certify_fast_path",
     "route_decision",
     "route_kernel",
-    "TuneCache",
-    "machine_fingerprint",
     "approx_multiply",
     "approx_multiply_truncated",
     "exact_multiply",

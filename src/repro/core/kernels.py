@@ -7,7 +7,7 @@ float32 product matrix; which kernel runs is selected by name through
 :func:`select_kernel` (plumbed up through ``approx_matmul`` and the
 ``nn`` backend seam).
 
-Six kernels are built in:
+Five kernels are built in:
 
 ``float_table`` (bit-exact reference tier for table-supported widths)
     The float-domain value-table kernel.  A bfloat16-style product is
@@ -15,14 +15,13 @@ Six kernels are built in:
     ``2^bits x 2^bits`` float32 table of *normalised significand product
     values* (the one-position normalisation bump folded in, so entries
     lie in ``[1, 4)``).  Per element the kernel does one table gather
-    and two multiplies by the cached per-operand scale planes — roughly
-    a quarter of the passes of the ``uint32_fused`` pipeline it
-    replaces, and bit-identical to it by construction: scale products
-    are exact powers of two, the gathered value has at most
-    ``significand_bits + 1`` significant bits, overflow to inf falls out
-    of float32 naturally (bfloat16 and float32 share ``emax``), and a
-    cheap subnormal-flush mask reproduces the datapath's
-    flush-to-zero underflow exactly.
+    and two multiplies by the cached per-operand scale planes, and is
+    bit-identical to the per-element ``generic`` pipeline by
+    construction: scale products are exact powers of two, the gathered
+    value has at most ``significand_bits + 1`` significant bits,
+    overflow to inf falls out of float32 naturally (bfloat16 and float32
+    share ``emax``), and a cheap subnormal-flush mask reproduces the
+    datapath's flush-to-zero underflow exactly.
 
 ``float_table_native`` (bit-exact default when a C compiler is installed)
     The same one-gather algorithm as a small C loop nest
@@ -33,12 +32,6 @@ Six kernels are built in:
     boxes without a compiler (or with ``REPRO_DISABLE_NATIVE=1``) every
     call delegates to ``float_table``, so the tier is always safe to
     select.
-
-``uint32_fused``
-    The previous default: gather a fused uint32 entry (fraction bits,
-    exponent bump, nonzero flag) and re-assemble float32 bit patterns
-    with integer ops.  Kept as the parity reference and for the perf
-    trajectory in ``BENCH_perf.json``.
 
 ``blas_factored`` (opt-in fast path)
     Factor ``V0[ma, mb] = mu[ma] * mu[mb] + E[ma, mb]`` where ``mu`` is
@@ -58,8 +51,9 @@ Six kernels are built in:
     against the config's analytic worst-case bound.
 
 ``generic``
-    The per-element FP pipeline for significand widths too wide to
-    tabulate (e.g. float32 operands).
+    The per-element FP pipeline: the only kernel for significand widths
+    too wide to tabulate (e.g. float32 operands), and the reference the
+    table kernels are tested against.
 
 Bit contract of the exact tiers: every output element is a float32 sum
 that runs sequentially over the terms of each pinned K-chunk, with chunk
@@ -74,10 +68,10 @@ exactly the shapes ``float_table_native`` hands back to ``float_table``
 Chunking policy: the K-dimension split (``default_k_chunk``) is pinned
 to the historical ``2^22``-element budget because float32 accumulation
 order — and therefore the bit-exact output contract — depends on where
-the reduction is split.  The *row*-block size is the free performance
-parameter: output rows are independent, so any row blocking yields
-bit-identical results, and :func:`autotune_row_budget` tunes it from a
-micro-benchmark (the perf harness drives this and records the choice).
+the reduction is split.  The *row*-block budget (:data:`ROW_BUDGET`) is a
+plain constant: output rows are independent, so the row blocking of
+``float_table``'s standard orientation is bit-neutral.  Its transposed
+orientation and the native delegation rule read the same constant.
 
 All product tables are built once per ``(bits, config)`` and cached;
 :func:`table_cache_counters` exposes hit/miss counts alongside the
@@ -87,9 +81,7 @@ harness can prove that hot paths never rebuild a table.
 
 from __future__ import annotations
 
-import dataclasses
 import threading
-import time
 
 import numpy as np
 
@@ -105,7 +97,6 @@ __all__ = [
     "GemmKernel",
     "FloatTableKernel",
     "NativeGatherKernel",
-    "FusedTableKernel",
     "BlasFactoredKernel",
     "GenericKernel",
     "UnknownKernelError",
@@ -118,18 +109,12 @@ __all__ = [
     "shape_class",
     "SHAPE_CLASSES",
     "value_table",
-    "fused_table",
     "factored_tables",
     "table_cache_counters",
     "reset_table_cache_counters",
     "peek_table",
     "install_table",
     "default_k_chunk",
-    "row_block_budget",
-    "set_row_budget",
-    "reset_tuned_budgets",
-    "autotune_row_budget",
-    "AutotuneResult",
 ]
 
 # --------------------------------------------------------------------------
@@ -141,13 +126,10 @@ __all__ = [
 #: bits, so it is part of the bit-exact kernel contract, not a perf knob.
 K_CHUNK_BUDGET = 1 << 22
 
-#: Default row-block budget (elements of the (row_block, k_chunk, n)
-#: working set).  This is the tunable performance parameter — row blocks
-#: are bit-neutral — and :func:`autotune_row_budget` overrides it per
-#: kernel.
-DEFAULT_ROW_BUDGET = 1 << 18
-
-_ROW_BUDGETS: dict[str, int] = {}
+#: Row-block budget (elements of the (row_block, k_chunk, n) working
+#: set) of ``float_table``'s loops.  ``float_table_native`` reads it too,
+#: to find the one-row column blocks it hands back to ``float_table``.
+ROW_BUDGET = 1 << 18
 
 
 def default_k_chunk(rows: int, n: int, budget_elems: int = K_CHUNK_BUDGET) -> int:
@@ -155,36 +137,17 @@ def default_k_chunk(rows: int, n: int, budget_elems: int = K_CHUNK_BUDGET) -> in
 
     The formula (and its ``2^22`` budget) is frozen: the K split decides
     how the float32 accumulation is grouped, so it is part of the
-    bit-exact output contract shared by ``float_table`` and
-    ``uint32_fused``.  Row blocking, not K chunking, is the tuned knob.
+    bit-exact output contract shared by every exact tier.
     """
     per_k = max(1, rows * n)
     return max(1, budget_elems // per_k)
 
 
-def row_block_budget(kernel_name: str) -> int:
-    """The (possibly autotuned) row-block element budget for a kernel."""
-    return _ROW_BUDGETS.get(kernel_name, DEFAULT_ROW_BUDGET)
+def _row_block(k_chunk: int, k: int, n: int) -> int:
+    return max(1, ROW_BUDGET // max(1, min(k, k_chunk) * n))
 
 
-def set_row_budget(kernel_name: str, budget_elems: int) -> None:
-    """Override the row-block budget for ``kernel_name`` (power users)."""
-    if budget_elems < 1:
-        raise ValueError("row budget must be a positive element count")
-    _ROW_BUDGETS[kernel_name] = int(budget_elems)
-
-
-def reset_tuned_budgets() -> None:
-    """Drop all autotuned/overridden row budgets (back to the default)."""
-    _ROW_BUDGETS.clear()
-
-
-def _row_block(kernel_name: str, k_chunk: int, k: int, n: int) -> int:
-    budget = row_block_budget(kernel_name)
-    return max(1, budget // max(1, min(k, k_chunk) * n))
-
-
-#: Coarse problem-size classes the tier router and tune cache key on.
+#: Coarse problem-size classes the tier router keys on.
 SHAPE_CLASSES = ("tiny", "tall_skinny", "general")
 
 #: A GEMM at or below this many MACs counts as ``tiny``: fixed per-call
@@ -228,7 +191,7 @@ _TABLE_LOCK = threading.RLock()
 def table_cache_counters() -> dict[str, int]:
     """Snapshot of the kernel-table cache hit/miss counters.
 
-    A *miss* means a table (fused uint32, float value, or factored
+    A *miss* means a table (float value, its transpose, or factored
     correction) was built from scratch; a *hit* means a cached table was
     reused.  Complements :func:`repro.formats.packed.packing_counters`:
     together they prove a steady-state hot path does zero table-rebuild
@@ -311,30 +274,6 @@ def _normalised_products(
         truncated = config.truncated
     sig, bump = _normalise(product, np.zeros_like(product, dtype=np.int64), bits, truncated)
     return sig, bump.astype(np.int32), product != 0
-
-
-def fused_table(bits: int, config: MultiplierConfig | None) -> np.ndarray:
-    """Pre-computed uint32 normalise+compose entries for every pair.
-
-    Entry layout, indexed ``[ma, mb]``: bits 0..22 hold the float32
-    fraction field of the normalised product (already shifted into
-    container position), bit 23 the exponent bump from normalisation
-    overflow, bit 24 a nonzero flag.  A gather from this table is
-    bit-identical to the per-element FP back end it replaces.
-    """
-
-    def build() -> np.ndarray:
-        sig, bump, nonzero = _normalised_products(bits, config)
-        mantissa_bits = bits - 1
-        frac = (
-            (sig & np.uint64((1 << mantissa_bits) - 1)) << np.uint64(23 - mantissa_bits)
-        ).astype(np.uint32)
-        entry = frac | (bump.astype(np.uint32) << np.uint32(23))
-        entry |= nonzero.astype(np.uint32) << np.uint32(24)
-        entry.setflags(write=False)
-        return entry
-
-    return _cached((bits, *_config_key(config), "fused"), build)
 
 
 def value_table(bits: int, config: MultiplierConfig | None) -> np.ndarray:
@@ -495,8 +434,8 @@ class FloatTableKernel(GemmKernel):
     first (so overflow saturates exactly like ``compose``) and applies a
     subnormal-flush mask replacing the emin branch of the uint32
     pipeline; overflow to inf needs no mask because bfloat16 and float32
-    share ``emax``.  Both regimes are bit-identical to ``uint32_fused``
-    and to the scalar reference.
+    share ``emax``.  Both regimes are bit-identical to ``generic`` and
+    to the scalar reference.
     """
 
     name = "float_table"
@@ -585,7 +524,7 @@ class FloatTableKernel(GemmKernel):
         alpha, beta = pa.scale(), pb.scale()
 
         out = np.zeros((m, n), dtype=np.float32)
-        row_block = _row_block(self.name, k_chunk, k, n)
+        row_block = _row_block(k_chunk, k, n)
         use_take = min(k, k_chunk) * n <= _TAKE_TILE_LIMIT
         if use_take:
             idx_buf = np.empty((row_block, min(k, k_chunk), n), dtype=np.intp)
@@ -632,7 +571,7 @@ class FloatTableKernel(GemmKernel):
         beta_t = np.ascontiguousarray(pb.scale().T)
 
         out = np.empty((m, n), dtype=np.float32)
-        col_block = _row_block(self.name, k_chunk, k, n)
+        col_block = _row_block(k_chunk, k, n)
         with np.errstate(over="ignore"):
             for m0 in range(0, m, col_block):
                 m1 = min(m, m0 + col_block)
@@ -699,7 +638,7 @@ class NativeGatherKernel(GemmKernel):
         ``float_table``'s NumPy reduction regroups the accumulation.
         """
         if f32_exact and m >= FloatTableKernel.TRANSPOSE_ASPECT * max(1, n):
-            col_block = _row_block("float_table", k_chunk, k, n)
+            col_block = _row_block(k_chunk, k, n)
             return col_block < 2 or m % col_block == 1
         return n == 1
 
@@ -784,60 +723,6 @@ class NativeGatherKernel(GemmKernel):
             if args is not None:
                 return gather_gemm(*args)
         return _KERNELS["float_table"].run(pa, pb, config, k_chunk)
-
-
-class FusedTableKernel(GemmKernel):
-    """Fused uint32 compose kernel (the previous default, kept for parity).
-
-    Gathers a pre-composed uint32 entry per significand pair and
-    re-assembles float32 bit patterns with integer masks — bit-identical
-    to ``float_table`` and to the scalar reference, a few times slower.
-    """
-
-    name = "uint32_fused"
-    bit_exact = True
-
-    def supports(self, fmt: FloatFormat, config: MultiplierConfig | None) -> bool:
-        """Table-supported significand widths (see ``MAX_TABLE_BITS``)."""
-        return table_supported(fmt.significand_bits)
-
-    def run(self, pa, pb, config, k_chunk):
-        """Gather-and-compose product over fused uint32 entries."""
-        fmt = pa.fmt
-        m, k = pa.shape
-        n = pb.shape[1]
-        table = fused_table(fmt.significand_bits, config)
-
-        ma, mb = pa.significand, pb.significand
-        ea, eb = pa.exponent, pb.exponent
-        sa31 = pa.sign << np.uint32(31)
-        sb31 = pb.sign << np.uint32(31)
-        emax = fmt.max_exponent - fmt.bias
-        emin = 1 - fmt.bias
-        inf_bits = np.uint32(0x7F80_0000)
-        nz_flag = np.uint32(1 << 24)
-
-        out = np.zeros((m, n), dtype=np.float32)
-        row_block = _row_block(self.name, k_chunk, k, n)
-        for r0 in range(0, m, row_block):
-            r1 = min(m, r0 + row_block)
-            for c0 in range(0, k, k_chunk):
-                c1 = min(k, c0 + k_chunk)
-                entry = table[ma[r0:r1, c0:c1, None], mb[None, c0:c1, :]]
-                exp = ea[r0:r1, c0:c1, None] + eb[None, c0:c1, :]
-                exp = exp + ((entry >> np.uint32(23)) & np.uint32(1)).view(np.int32)
-
-                nonzero = entry >= nz_flag
-                overflow = exp > emax
-                ok = nonzero & ~overflow & ~(exp < emin)
-                # In-range biased exponents fit int32 even after <<23;
-                # out-of-range lanes may wrap but are masked by `ok`.
-                base = ((exp + 127) << 23).view(np.uint32)
-                bits32 = np.where(ok, base | (entry & np.uint32(0x007F_FFFF)), np.uint32(0))
-                bits32 = np.where(nonzero & overflow, inf_bits, bits32)
-                bits32 = bits32 | (sa31[r0:r1, c0:c1, None] ^ sb31[None, c0:c1, :])
-                out[r0:r1] += bits32.view(np.float32).sum(axis=1, dtype=np.float32)
-        return out
 
 
 class BlasFactoredKernel(GemmKernel):
@@ -1076,115 +961,6 @@ def select_kernel(
 
 register_kernel(FloatTableKernel())
 register_kernel(NativeGatherKernel())
-register_kernel(FusedTableKernel())
 register_kernel(BlasFactoredKernel())
 register_kernel(BlasFactoredKernel(tol=0.25, name="blas_factored_fast"))
 register_kernel(GenericKernel())
-
-
-# --------------------------------------------------------------------------
-# Bench-driven row-block autotuning
-# --------------------------------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class AutotuneResult:
-    """Outcome of :func:`autotune_row_budget`.
-
-    Parameters
-    ----------
-    kernel:
-        Kernel the budget was tuned for.
-    shape:
-        ``(m, k, n)`` problem used for the micro-benchmark.
-    timings_ms:
-        Best-of-``reps`` wall time per candidate budget.
-    chosen:
-        The winning budget, already installed via :func:`set_row_budget`.
-    source:
-        ``"measured"`` when the micro-benchmark ran, ``"cache"`` when a
-        :class:`~repro.core.tune_cache.TuneCache` hit skipped it.
-    """
-
-    kernel: str
-    shape: tuple[int, int, int]
-    timings_ms: dict[int, float]
-    chosen: int
-    source: str = "measured"
-
-
-def autotune_row_budget(
-    kernel: str = "float_table",
-    shape: tuple[int, int, int] = (256, 288, 64),
-    fmt: FloatFormat | None = None,
-    config: MultiplierConfig | None = None,
-    candidates: tuple[int, ...] = (1 << 16, 1 << 17, 1 << 18, 1 << 19, 1 << 20),
-    reps: int = 3,
-    seed: int = 0,
-    cache: "TuneCache | None" = None,
-) -> AutotuneResult:
-    """Micro-benchmark candidate row budgets and install the fastest.
-
-    Replaces the historical fixed working-set budget with a measured
-    choice: the kernel is timed on a random ``shape`` problem for every
-    candidate (best of ``reps``), the winner is installed via
-    :func:`set_row_budget`, and the full timing table is returned so the
-    perf harness can record it in ``BENCH_perf.json``.  Row blocking is
-    bit-neutral, so tuning never changes results.
-
-    Passing a :class:`~repro.core.tune_cache.TuneCache` makes the result
-    persistent: a cached budget for ``(kernel, shape_class)`` on this
-    machine fingerprint is installed without re-measuring (``source ==
-    "cache"``), and a fresh measurement is written back for the next
-    process.
-    """
-    from ..formats.floatfmt import BFLOAT16
-    from ..formats.packed import pack
-    from .config import PC3_TR
-
-    fmt = fmt or BFLOAT16
-    config = config if config is not None else PC3_TR
-    found = get_kernel(kernel)
-    m, k, n = shape
-    if cache is not None:
-        entry = cache.get(kernel, shape_class(m, k, n))
-        if entry is not None and entry.get("budget"):
-            chosen = int(entry["budget"])
-            set_row_budget(kernel, chosen)
-            timings = {
-                int(b): float(t) for b, t in (entry.get("timings_ms") or {}).items()
-            }
-            return AutotuneResult(
-                kernel=kernel,
-                shape=(m, k, n),
-                timings_ms=timings or {chosen: 0.0},
-                chosen=chosen,
-                source="cache",
-            )
-    rng = np.random.default_rng(seed)
-    pa = pack(rng.standard_normal((m, k)).astype(np.float32), fmt)
-    pb = pack(rng.standard_normal((k, n)).astype(np.float32), fmt)
-    k_chunk = default_k_chunk(m, n)
-
-    previous = _ROW_BUDGETS.get(kernel)
-    timings: dict[int, float] = {}
-    try:
-        for budget in candidates:
-            _ROW_BUDGETS[kernel] = int(budget)
-            found.run(pa, pb, config, k_chunk)  # warm
-            best = float("inf")
-            for _ in range(reps):
-                t0 = time.perf_counter()
-                found.run(pa, pb, config, k_chunk)
-                best = min(best, time.perf_counter() - t0)
-            timings[int(budget)] = best * 1e3
-    finally:
-        if previous is None:
-            _ROW_BUDGETS.pop(kernel, None)
-        else:
-            _ROW_BUDGETS[kernel] = previous
-    chosen = min(timings, key=timings.get)
-    set_row_budget(kernel, chosen)
-    if cache is not None:
-        cache.put(kernel, shape_class(m, k, n), budget=chosen, timings_ms=timings)
-    return AutotuneResult(kernel=kernel, shape=(m, k, n), timings_ms=timings, chosen=chosen)

@@ -9,9 +9,8 @@ machine with ``cc`` and cached on disk; every later process only
   name, so a stale build is never loaded.  The ``cc --version`` text is
   itself memoised per compiler binary (real path, size, mtime), so a warm
   process spawns no child process at all.
-* **Location.**  ``<cache root>/native/``, with the cache root resolved
-  as for :class:`~repro.core.tune_cache.TuneCache` (``$REPRO_CACHE_DIR``,
-  else ``~/.cache/repro-daism``).
+* **Location.**  ``<cache root>/native/``, where the cache root is
+  ``$REPRO_CACHE_DIR``, else ``~/.cache/repro-daism``.
 * **Concurrency.**  Builds run under an ``fcntl`` lock on a per-key lock
   file, compile into a temporary file and ``os.replace`` it into place,
   so concurrent cold starts build once and no reader sees a partial file.
@@ -80,9 +79,10 @@ class _Failure(Exception):
 
 def cache_dir() -> str:
     """Directory holding the cached libraries and compiler-version memos."""
-    from ..tune_cache import cache_root
-
-    return os.path.join(cache_root(), "native")
+    root = os.environ.get("REPRO_CACHE_DIR") or os.path.join(
+        os.path.expanduser("~"), ".cache", "repro-daism"
+    )
+    return os.path.join(root, "native")
 
 
 def _atomic_write(path: str, data: bytes) -> None:

@@ -9,8 +9,8 @@ accuracy sweeps (Fig. 4) cheap.
 
 Tables are built once per ``(bits, config)`` pair and cached.  This
 module tabulates the *raw significand products*; the GEMM-level tables
-derived from them (the float32 value table, the fused uint32 compose
-entries and the BLAS-factored correction) live in
+derived from them (the float32 value table and the BLAS-factored
+correction) live in
 :mod:`repro.core.kernels`, with their own cache instrumentation.
 """
 

@@ -363,8 +363,8 @@ register(
         title="GEMM kernel registry: per-kernel parity and cache behaviour",
         description=(
             "The float-domain value-table kernel and the BLAS-factored "
-            "exact+correction fast path next to the uint32-fused and "
-            "generic pipelines: byte-identity to the bit-exact default, "
+            "exact+correction fast path next to the native C tier and the "
+            "generic pipeline: byte-identity to the bit-exact default, "
             "maximum relative deviation of the tolerance path, correction "
             "rank/residual, and proof that warm kernels never rebuild "
             "their tables, across representative GEMM shapes from the "

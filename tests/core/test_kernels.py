@@ -1,7 +1,7 @@
 """Tests for the GEMM kernel registry (repro.core.kernels).
 
 The heart of the contract: the ``float_table`` default is byte-identical
-to the ``uint32_fused`` pipeline and to a scalar ``core.mantissa``
+to the per-element ``generic`` pipeline and to a scalar ``core.mantissa``
 reference across every Table I config — including subnormal-flush,
 inf-overflow and signed-zero edge cases — while the ``blas_factored``
 fast path stays within its documented parity tolerance.
@@ -15,19 +15,15 @@ from hypothesis import strategies as st
 from repro.core.config import FLA, PC3, PC3_TR, all_configs
 from repro.core.kernels import (
     BlasFactoredKernel,
-    autotune_row_budget,
+    _normalised_products,
     default_k_chunk,
     exact_tier_name,
     factored_tables,
-    fused_table,
     get_kernel,
     kernel_names,
     register_kernel,
     reset_table_cache_counters,
-    reset_tuned_budgets,
-    row_block_budget,
     select_kernel,
-    set_row_budget,
     table_cache_counters,
     value_table,
 )
@@ -118,9 +114,13 @@ def _extreme_operands(rng, shape, zero_frac=0.1):
 
 class TestRegistry:
     def test_builtin_kernels_registered(self):
-        assert {"float_table", "uint32_fused", "blas_factored", "generic"} <= set(
-            kernel_names()
-        )
+        assert {
+            "float_table",
+            "float_table_native",
+            "blas_factored",
+            "blas_factored_fast",
+            "generic",
+        } <= set(kernel_names())
 
     def test_get_kernel_unknown_raises(self):
         with pytest.raises(ValueError, match="unknown GEMM kernel"):
@@ -153,22 +153,23 @@ class TestRegistry:
 
     def test_bit_exact_flags(self):
         assert get_kernel("float_table").bit_exact
-        assert get_kernel("uint32_fused").bit_exact
+        assert get_kernel("float_table_native").bit_exact
         assert get_kernel("generic").bit_exact
         assert not get_kernel("blas_factored").bit_exact
 
 
 class TestFloatTableParity:
-    """float_table == uint32_fused == scalar reference, byte for byte."""
+    """float_table == generic == scalar reference, byte for byte."""
 
     @pytest.mark.parametrize("config", all_configs(), ids=lambda c: c.name)
     def test_extreme_exponents_byte_identical_to_fused(self, config):
+        # The reference is the per-element ``generic`` pipeline.
         rng = np.random.default_rng(0)
         a = _extreme_operands(rng, (23, 37))
         b = _extreme_operands(rng, (37, 11))
         pa, pb = pack(a, BFLOAT16), pack(b, BFLOAT16)
         for k_chunk in (7, 37):
-            want = get_kernel("uint32_fused").run(pa, pb, config, k_chunk)
+            want = get_kernel("generic").run(pa, pb, config, k_chunk)
             got = get_kernel("float_table").run(pa, pb, config, k_chunk)
             np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
@@ -240,7 +241,7 @@ class TestFloatTableParity:
             np.float32
         )
         pa, pb = pack(a, fmt), pack(b, fmt)
-        want = get_kernel("uint32_fused").run(pa, pb, PC3_TR, 8)
+        want = get_kernel("generic").run(pa, pb, PC3_TR, 8)
         got = get_kernel("float_table").run(pa, pb, PC3_TR, 8)
         np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
@@ -328,10 +329,10 @@ class TestBlasFactored:
 class TestValueTables:
     def test_value_table_matches_fused_entries(self):
         v = value_table(8, PC3_TR)
-        entries = fused_table(8, PC3_TR)
-        # Nonzero flag agrees everywhere; for *valid* operand indices
-        # (MSB set, as decompose produces) values lie in [1, 4).
-        nonzero = entries >= np.uint32(1 << 24)
+        _sig, _bump, nonzero = _normalised_products(8, PC3_TR)
+        # Nonzero exactly where the significand product is; for *valid*
+        # operand indices (MSB set, as decompose produces) values lie in
+        # [1, 4).
         assert np.array_equal(v > 0, nonzero)
         valid = v[128:, 128:]
         assert valid.min() >= 1.0 and valid.max() < 4.0
@@ -377,48 +378,19 @@ class TestChunkPolicy:
         assert default_k_chunk(1, 1) == 1 << 22
         assert default_k_chunk(10**9, 10**9) == 1
 
-    def test_row_budget_override_and_reset(self):
-        reset_tuned_budgets()
-        default = row_block_budget("float_table")
-        try:
-            set_row_budget("float_table", 4096)
-            assert row_block_budget("float_table") == 4096
-            with pytest.raises(ValueError, match="positive"):
-                set_row_budget("float_table", 0)
-        finally:
-            reset_tuned_budgets()
-        assert row_block_budget("float_table") == default
+    def test_row_blocking_is_bit_neutral(self, monkeypatch):
+        from repro.core import kernels
 
-    def test_row_blocking_is_bit_neutral(self):
         rng = np.random.default_rng(8)
         a = rng.standard_normal((37, 19)).astype(np.float32)
         b = rng.standard_normal((19, 7)).astype(np.float32)
         pa, pb = pack(a, BFLOAT16), pack(b, BFLOAT16)
         kernel = get_kernel("float_table")
-        reset_tuned_budgets()
         want = kernel.run(pa, pb, PC3_TR, 19)
-        try:
-            for budget in (1, 64, 1 << 20):
-                set_row_budget("float_table", budget)
-                got = kernel.run(pa, pb, PC3_TR, 19)
-                np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
-        finally:
-            reset_tuned_budgets()
-
-    def test_autotune_installs_a_candidate(self):
-        reset_tuned_budgets()
-        try:
-            result = autotune_row_budget(
-                kernel="float_table",
-                shape=(32, 16, 8),
-                candidates=(1 << 12, 1 << 14),
-                reps=1,
-            )
-            assert result.chosen in (1 << 12, 1 << 14)
-            assert set(result.timings_ms) == {1 << 12, 1 << 14}
-            assert row_block_budget("float_table") == result.chosen
-        finally:
-            reset_tuned_budgets()
+        for budget in (1, 64, 1 << 20):
+            monkeypatch.setattr(kernels, "ROW_BUDGET", budget)
+            got = kernel.run(pa, pb, PC3_TR, 19)
+            np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 class TestBackendPlumbing:
@@ -429,8 +401,8 @@ class TestBackendPlumbing:
         a = rng.standard_normal((6, 8)).astype(np.float32)
         b = rng.standard_normal((8, 4)).astype(np.float32)
         default = approx_matmul(a, b, BFLOAT16, PC3_TR)
-        fused = approx_matmul(a, b, BFLOAT16, PC3_TR, kernel="uint32_fused")
-        np.testing.assert_array_equal(default.view(np.uint32), fused.view(np.uint32))
+        generic = approx_matmul(a, b, BFLOAT16, PC3_TR, kernel="generic")
+        np.testing.assert_array_equal(default.view(np.uint32), generic.view(np.uint32))
         blas = approx_matmul(a, b, BFLOAT16, PC3_TR, kernel="blas_factored")
         rel = np.linalg.norm(blas - default) / np.linalg.norm(default)
         assert rel < 0.01
@@ -444,9 +416,9 @@ class TestBackendPlumbing:
         a = rng.standard_normal((2, 5, 8)).astype(np.float32)
         b = rng.standard_normal((8, 3)).astype(np.float32)
         default = daism_backend(PC3_TR, BFLOAT16).matmul(a, b)
-        fused = daism_backend(PC3_TR, BFLOAT16, kernel="uint32_fused").matmul(a, b)
-        assert fused.shape == (2, 5, 3)
-        np.testing.assert_array_equal(default.view(np.uint32), fused.view(np.uint32))
+        generic = daism_backend(PC3_TR, BFLOAT16, kernel="generic").matmul(a, b)
+        assert generic.shape == (2, 5, 3)
+        np.testing.assert_array_equal(default.view(np.uint32), generic.view(np.uint32))
 
     def test_quantized_backend_kernel_routes_exact_products(self):
         from repro.nn.backend import quantized_backend
@@ -474,9 +446,9 @@ class TestKernelSpeedupExperiment:
         exp = get_experiment("kernel_speedup")
         rows = exp.run(dict(exp.defaults, config="PC3_tr"))
         by_kernel = {row["kernel"]: row for row in rows}
-        assert {"float_table", "uint32_fused", "blas_factored"} <= set(by_kernel)
+        assert {"float_table", "generic", "blas_factored"} <= set(by_kernel)
         assert by_kernel["float_table"]["byte-identical to default"] == "yes"
-        assert by_kernel["uint32_fused"]["byte-identical to default"] == "yes"
+        assert by_kernel["generic"]["byte-identical to default"] == "yes"
         assert by_kernel["blas_factored"]["bit_exact contract"] == "no (tolerance)"
         for row in rows:
             assert row["table rebuilds on reuse"] == 0

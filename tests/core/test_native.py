@@ -37,8 +37,6 @@ from repro.core.kernels import (
     get_kernel,
     kernel_names,
     kernel_tiers,
-    row_block_budget,
-    set_row_budget,
     value_table,
 )
 from repro.core.native import (
@@ -288,24 +286,22 @@ class TestDelegation:
         args = _assert_native_matches(a, b, BFLOAT16, PC3_TR, 9)
         assert args is not None
 
-    def test_one_row_column_blocks_delegate(self):
+    def test_one_row_column_blocks_delegate(self, monkeypatch):
+        from repro.core import kernels
+
         rng = np.random.default_rng(2)
         k, n = 8, 2
-        previous = row_block_budget("float_table")
-        try:
-            # Column budget of one row: every transposed tile is one wide.
-            set_row_budget("float_table", k * n)
-            pa = pack(rng.standard_normal((64, k)).astype(np.float32), BFLOAT16)
-            pb = pack(rng.standard_normal((k, n)).astype(np.float32), BFLOAT16)
-            assert _NATIVE._call_args(pa, pb, PC3_TR, k) is None
-            # Column blocks of 4 rows over m = 4q + 1: a one-row remainder.
-            set_row_budget("float_table", 4 * k * n)
-            pa = pack(rng.standard_normal((65, k)).astype(np.float32), BFLOAT16)
-            assert _NATIVE._call_args(pa, pb, PC3_TR, k) is None
-            pa = pack(rng.standard_normal((66, k)).astype(np.float32), BFLOAT16)
-            assert _NATIVE._call_args(pa, pb, PC3_TR, k) is not None
-        finally:
-            set_row_budget("float_table", previous)
+        # Column budget of one row: every transposed tile is one wide.
+        monkeypatch.setattr(kernels, "ROW_BUDGET", k * n)
+        pa = pack(rng.standard_normal((64, k)).astype(np.float32), BFLOAT16)
+        pb = pack(rng.standard_normal((k, n)).astype(np.float32), BFLOAT16)
+        assert _NATIVE._call_args(pa, pb, PC3_TR, k) is None
+        # Column blocks of 4 rows over m = 4q + 1: a one-row remainder.
+        monkeypatch.setattr(kernels, "ROW_BUDGET", 4 * k * n)
+        pa = pack(rng.standard_normal((65, k)).astype(np.float32), BFLOAT16)
+        assert _NATIVE._call_args(pa, pb, PC3_TR, k) is None
+        pa = pack(rng.standard_normal((66, k)).astype(np.float32), BFLOAT16)
+        assert _NATIVE._call_args(pa, pb, PC3_TR, k) is not None
 
     @needs_native
     def test_reference_regroups_where_delegated(self):
@@ -613,14 +609,6 @@ class TestGracefulDegradation:
         got = _NATIVE.run(pa, pb, PC3_TR, 8)
         want = _TABLE.run(pa, pb, PC3_TR, 8)
         np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
-
-    @needs_native
-    def test_tune_cache_fingerprint_separates_native(self, monkeypatch):
-        from repro.core.tune_cache import machine_fingerprint
-
-        native = machine_fingerprint()
-        monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
-        assert machine_fingerprint() != native
 
 
 @needs_native

@@ -368,7 +368,7 @@ class TestOneCallGroupedConv:
         rng = np.random.default_rng(7)
         _layer, _plan, op = _grouped_plan(rng, 4, 1, 1, 3, 1, 1)
         x = rng.standard_normal((1, 4, 5, 5)).astype(np.float32)  # m = 25
-        monkeypatch.setitem(kernels._ROW_BUDGETS, "float_table", 36)  # col_block = 4
+        monkeypatch.setattr(kernels, "ROW_BUDGET", 36)  # col_block = 4
         ctx = ExecContext(total_batch=1)
         assert op._apply_one_call(pack(x, BFLOAT16), ctx) is None
         self._assert_loop_runs(op, x, ctx, monkeypatch)
